@@ -31,6 +31,8 @@ func TestKernelIntoPathsDoNotAllocate(t *testing.T) {
 		{"Median3x3Into", 0, func() { Median3x3Into(dst, src) }},
 		{"SobelInto", 0, func() { SobelInto(dst, src) }},
 		{"ResizeInto", 0, func() { ResizeInto(small, src, 64, 48) }},
+		{"ResizeInto/identity", 0, func() { ResizeInto(dst, src, 128, 96) }},
+		{"ResizeInto/upscale", 0, func() { ResizeInto(dst, small, 128, 96) }},
 		{"ThresholdInto", 0, func() { ThresholdInto(dst, src, 30000) }},
 		{"InvertInto", 0, func() { InvertInto(dst, src) }},
 		{"TranslateInto", 0, func() { TranslateInto(dst, src, 0.7, 1.3) }},

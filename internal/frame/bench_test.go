@@ -11,7 +11,8 @@ import (
 // lines up across revisions: BenchmarkKernel/<op>/<size>-<procs>.
 // The <op>=naive entries run the clamp-every-tap reference from
 // equiv_test.go, quantifying the interior/border split's speedup
-// within a single run.
+// within a single run. Resize/split is the half-size resample MKX
+// runs; Resize/identity is ZOOM's same-size case.
 
 func benchFrame(size int) *Frame {
 	rng := rand.New(rand.NewSource(42))
@@ -50,6 +51,9 @@ func BenchmarkKernel(b *testing.B) {
 			{"Sobel/naive", func() { naiveSobel(src) }},
 			{"Resize/split", func() { ResizeInto(half, src, size/2, size/2) }},
 			{"Resize/naive", func() { naiveResize(src, size/2, size/2) }},
+			{"Resize/identity", func() { ResizeInto(dst, src, size, size) }},
+			{"Resize/identity-naive", func() { naiveResize(src, size, size) }},
+			{"Translate/grid", func() { TranslateInto(dst, src, 0.7, -1.3) }},
 		}
 		for _, tc := range cases {
 			b.Run(tc.name+"/"+sz, func(b *testing.B) {

@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -252,13 +253,114 @@ func TestResizeMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	targets := [][2]int{{1, 1}, {3, 5}, {8, 8}, {13, 4}, {40, 23}}
 	for _, g := range geometries {
+		// Identity size takes the row-copy path; the upscales sample every
+		// source pixel several times, including the replicated last ones.
+		sized := append(targets[:len(targets):len(targets)], g, [2]int{g[0], 2 * g[1]}, [2]int{3*g[0] + 1, 2*g[1] + 1})
 		for _, src := range frameVariants(rng, g[0], g[1]) {
-			for _, tg := range targets {
+			for _, tg := range sized {
 				got := Resize(src, tg[0], tg[1])
 				requireEqual(t, "resize", got, naiveResize(src, tg[0], tg[1]))
+				for _, stripes := range []int{2, 3} {
+					requireEqual(t, "resize-parallel", ResizeParallel(src, tg[0], tg[1], stripes), got)
+				}
 			}
 		}
 	}
+}
+
+// gridCoords returns n coordinates over an axis whose pixels span [lo, hi):
+// points far outside it on both sides, negative values, exact integers
+// (including the first and last pixel), half-integers and random fractions.
+func gridCoords(rng *rand.Rand, n, lo, hi int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		switch rng.Intn(8) {
+		case 0:
+			out[i] = float64(lo) - 1 - rng.Float64()*1000
+		case 1:
+			out[i] = float64(hi) + rng.Float64()*1000
+		case 2:
+			out[i] = -rng.Float64() * 3
+		case 3:
+			out[i] = float64(lo + rng.Intn(hi-lo))
+		case 4:
+			out[i] = float64(hi - 1)
+		case 5:
+			out[i] = float64(lo)
+		case 6:
+			out[i] = float64(lo+rng.Intn(hi-lo)) + 0.5
+		default:
+			out[i] = float64(lo-2) + rng.Float64()*float64(hi-lo+4)
+		}
+	}
+	return out
+}
+
+// checkGrid compares both grid variants against naiveBilinearAt on the
+// coordinate vectors xs, ys, writing through a destination whose stride
+// exceeds the grid width so row addressing is exercised too.
+func checkGrid(t *testing.T, ctx string, src *Frame, xs, ys []float64) {
+	t.Helper()
+	nx, ny := len(xs), len(ys)
+	stride := nx + 3
+	dst := make([]uint16, stride*ny)
+	dstF := make([]float64, stride*ny)
+	xAt := func(i int) float64 { return xs[i] }
+	yAt := func(j int) float64 { return ys[j] }
+	BilinearGrid(dst, stride, src, nx, ny, xAt, yAt)
+	BilinearGridF(dstF, stride, src, nx, ny, xAt, yAt)
+	for j, y := range ys {
+		for i, x := range xs {
+			want := naiveBilinearAt(src, x, y)
+			if got := dstF[j*stride+i]; got != want {
+				t.Fatalf("%s: BilinearGridF at (%v,%v) = %v, want %v", ctx, x, y, got, want)
+			}
+			if got := dst[j*stride+i]; got != clamp16(want) {
+				t.Fatalf("%s: BilinearGrid at (%v,%v) = %d, want %d", ctx, x, y, got, clamp16(want))
+			}
+		}
+	}
+}
+
+func TestBilinearGridMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, g := range append(geometries[:len(geometries):len(geometries)], [2]int{1, 40}, [2]int{40, 1}) {
+		for _, src := range frameVariants(rng, g[0], g[1]) {
+			b := src.Bounds
+			for _, n := range [][2]int{{1, 1}, {7, 5}, {33, 17}} {
+				xs := gridCoords(rng, n[0], b.X0, b.X1)
+				ys := gridCoords(rng, n[1], b.Y0, b.Y1)
+				checkGrid(t, fmt.Sprintf("%dx%d at %v", g[0], g[1], b), src, xs, ys)
+			}
+		}
+	}
+}
+
+// TestBilinearGridSubFrameOrigin samples views whose Bounds origin is far
+// from zero, where a row offset taken in absolute instead of view-relative
+// coordinates would index before the start of Pix or into the wrong row.
+func TestBilinearGridSubFrameOrigin(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	parent := randFrame(rng, 64, 48)
+	for _, r := range []Rect{R(40, 30, 64, 48), R(63, 47, 64, 48), R(5, 44, 60, 45), R(17, 3, 18, 40)} {
+		src := parent.SubFrame(r)
+		xs := gridCoords(rng, 29, r.X0, r.X1)
+		ys := gridCoords(rng, 23, r.Y0, r.Y1)
+		checkGrid(t, "subframe "+r.String(), src, xs, ys)
+	}
+}
+
+// TestBilinearGridWideChunks covers grids wider than one tap-table chunk.
+func TestBilinearGridWideChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	src := randROI(rng, 300, 6)
+	b := src.Bounds
+	checkGrid(t, "wide", src, gridCoords(rng, 2*gridChunk+37, b.X0, b.X1), gridCoords(rng, 5, b.Y0, b.Y1))
+}
+
+func TestBilinearGridEmptySource(t *testing.T) {
+	src := New(8, 8).SubFrame(R(20, 20, 30, 30))
+	checkGrid(t, "empty", src, []float64{-1, 0, 0.5, 3}, []float64{2.25, 9})
 }
 
 func TestPointSamplersMatchNaive(t *testing.T) {

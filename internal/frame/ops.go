@@ -434,7 +434,7 @@ func BilinearAt(f *Frame, x, y float64) float64 {
 		v01 = float64(f.AtClamped(x0, y0+1))
 		v11 = float64(f.AtClamped(x0+1, y0+1))
 	}
-	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy
+	return bilerp(v00, v10, v01, v11, fx, fy)
 }
 
 // Resize scales src to (w, h) with bilinear interpolation; this is the
@@ -456,18 +456,23 @@ func ResizeInto(dst, src *Frame, w, h int) *Frame {
 }
 
 // resizeRows fills destination rows [yLo, yHi) of the bilinear resample.
+// At identity size every sample point is a source pixel centre (integer
+// coordinates, zero fraction), where bilinear interpolation returns the
+// pixel itself, so the rows are copied.
 func resizeRows(dst, src *Frame, yLo, yHi int) {
 	w, h := dst.Width(), dst.Height()
+	if w == src.Width() && h == src.Height() {
+		for y := yLo; y < yHi; y++ {
+			copy(dst.Pix[y*dst.Stride:y*dst.Stride+w], src.Row(src.Bounds.Y0+y))
+		}
+		return
+	}
 	sx := float64(src.Width()) / float64(w)
 	sy := float64(src.Height()) / float64(h)
-	for y := yLo; y < yHi; y++ {
-		drow := dst.Pix[y*dst.Stride : y*dst.Stride+w]
-		srcY := float64(src.Bounds.Y0) + (float64(y)+0.5)*sy - 0.5
-		for x := 0; x < w; x++ {
-			srcX := float64(src.Bounds.X0) + (float64(x)+0.5)*sx - 0.5
-			drow[x] = clamp16(BilinearAt(src, srcX, srcY))
-		}
-	}
+	x0, y0 := float64(src.Bounds.X0), float64(src.Bounds.Y0)
+	BilinearGrid(dst.Pix[yLo*dst.Stride:], dst.Stride, src, w, yHi-yLo,
+		func(x int) float64 { return x0 + (float64(x)+0.5)*sx - 0.5 },
+		func(j int) float64 { return y0 + (float64(yLo+j)+0.5)*sy - 0.5 })
 }
 
 // Translate returns src shifted by the real-valued offset (dx, dy) using
@@ -479,15 +484,11 @@ func Translate(src *Frame, dx, dy float64) *Frame {
 // TranslateInto is Translate with destination reuse (dst may be nil, must
 // not alias src); it returns the destination used.
 func TranslateInto(dst, src *Frame, dx, dy float64) *Frame {
-	dst = ensureDst(dst, src.Width(), src.Height(), src.Bounds)
-	for y := src.Bounds.Y0; y < src.Bounds.Y1; y++ {
-		d0 := (y - src.Bounds.Y0) * dst.Stride
-		drow := dst.Pix[d0 : d0+src.Width()]
-		for x := src.Bounds.X0; x < src.Bounds.X1; x++ {
-			v := BilinearAt(src, float64(x)-dx, float64(y)-dy)
-			drow[x-src.Bounds.X0] = clamp16(v)
-		}
-	}
+	b := src.Bounds
+	dst = ensureDst(dst, b.Width(), b.Height(), b)
+	BilinearGrid(dst.Pix, dst.Stride, src, b.Width(), b.Height(),
+		func(i int) float64 { return float64(b.X0+i) - dx },
+		func(j int) float64 { return float64(b.Y0+j) - dy })
 	return dst
 }
 

@@ -67,15 +67,12 @@ func (e *Enhancer) Run(roi *frame.Frame, couple *Couple) (*frame.Frame, platform
 		e.canvas = frame.New(e.CanvasW, e.CanvasH)
 	}
 	canvas := e.canvas
-	for y := 0; y < e.CanvasH; y++ {
-		for x := 0; x < e.CanvasW; x++ {
-			// Canvas -> source mapping (pure translation + scale; rotation
-			// compensation is out of scope for the reproduction).
-			sx := mx + (float64(x)-float64(e.CanvasW)/2)/scale
-			sy := my + (float64(y)-float64(e.CanvasH)/2)/scale
-			canvas.Pix[y*canvas.Stride+x] = clampU16(frame.BilinearAt(roi, sx, sy))
-		}
-	}
+	// Canvas -> source mapping (pure translation + scale; rotation
+	// compensation is out of scope for the reproduction).
+	cw, ch := e.CanvasW, e.CanvasH
+	frame.BilinearGrid(canvas.Pix, canvas.Stride, roi, cw, ch,
+		func(x int) float64 { return mx + (float64(x)-float64(cw)/2)/scale },
+		func(y int) float64 { return my + (float64(y)-float64(ch)/2)/scale })
 	if err := e.acc.Add(canvas); err != nil {
 		return nil, e.Params.cost(0)
 	}
@@ -105,14 +102,4 @@ func (z *Zoomer) Run(enhanced *frame.Frame) (*frame.Frame, platform.Cost) {
 	out := frame.Resize(enhanced, z.OutW, z.OutH)
 	cycles := z.Params.pixCost(z.OutW*z.OutH, z.Params.ZoomPerPixel)
 	return out, z.Params.cost(cycles)
-}
-
-func clampU16(v float64) uint16 {
-	if v <= 0 {
-		return 0
-	}
-	if v >= 65535 {
-		return 65535
-	}
-	return uint16(v + 0.5)
 }

@@ -22,6 +22,10 @@ type Registrator struct {
 	MaxResidual float64
 
 	Params CostParams
+
+	// prevPatch and curPatch hold the sampled verification patches, reused
+	// across Runs, so a Registrator is owned by one goroutine at a time.
+	prevPatch, curPatch []float64
 }
 
 // NewRegistrator returns a registrator with clinically plausible motion
@@ -59,14 +63,11 @@ func (r *Registrator) Run(prevFrame, curFrame *frame.Frame, prevCouple, curCoupl
 			{{prevCouple.A.X, prevCouple.A.Y}, {curCouple.A.X, curCouple.A.Y}},
 			{{prevCouple.B.X, prevCouple.B.Y}, {curCouple.B.X, curCouple.B.Y}},
 		} {
-			pPrev, pCur := pair[0], pair[1]
-			for dy := -r.PatchRadius; dy <= r.PatchRadius; dy++ {
-				for dx := -r.PatchRadius; dx <= r.PatchRadius; dx++ {
-					a := frame.BilinearAt(prevFrame, pPrev[0]+float64(dx), pPrev[1]+float64(dy))
-					b := frame.BilinearAt(curFrame, pCur[0]+float64(dx), pCur[1]+float64(dy))
-					res += math.Abs(a - b)
-					n++
-				}
+			r.prevPatch = r.samplePatch(r.prevPatch, prevFrame, pair[0])
+			r.curPatch = r.samplePatch(r.curPatch, curFrame, pair[1])
+			for i, a := range r.prevPatch {
+				res += math.Abs(a - r.curPatch[i])
+				n++
 			}
 		}
 		if n > 0 {
@@ -75,6 +76,21 @@ func (r *Registrator) Run(prevFrame, curFrame *frame.Frame, prevCouple, curCoupl
 		}
 	}
 	return reg, r.Params.cost(nominal)
+}
+
+// samplePatch samples f on the (2*PatchRadius+1)^2 integer-offset grid
+// centred on p, rows top to bottom, into buf (reallocated only when too
+// small) and returns the samples.
+func (r *Registrator) samplePatch(buf []float64, f *frame.Frame, p [2]float64) []float64 {
+	side := max(2*r.PatchRadius+1, 0)
+	if cap(buf) < side*side {
+		buf = make([]float64, side*side)
+	}
+	buf = buf[:side*side]
+	frame.BilinearGridF(buf, side, f, side, side,
+		func(i int) float64 { return p[0] + float64(i-r.PatchRadius) },
+		func(j int) float64 { return p[1] + float64(j-r.PatchRadius) })
+	return buf
 }
 
 // ROIEstimator implements ROI EST: estimate the region of interest in the
